@@ -265,6 +265,20 @@ let plan stored { fn; args } =
     step "resolve %d name(s): 1 B+tree find each in leaves.by_name (node ids pass through)"
       k
   in
+  let frontier_steps () =
+    [
+      (if Stored_tree.time_index_resident stored then
+         step "skip index already resident on this handle"
+       else
+         step
+           "build the skip index: one streamed scan of nodes.by_node keeping the max \
+            root_dist and leaf_lo of every 16 ids, 16-ary maxima above");
+      step
+        "preorder skip-scan of nodes.by_node: keep each row deeper than the time whose \
+         leaf_lo is past the last kept leaf_hi; reseek over blocks whose maxima fail \
+         either test";
+    ]
+  in
   let header = step "query %s/%d on tree %S" fn nargs (Stored_tree.name stored) in
   let body =
     match (fn, args) with
@@ -317,19 +331,19 @@ let plan stored { fn; args } =
           step "build the induced subtree in memory and render Newick (no writes)";
         ]
     | "project", [] -> bad "project needs at least one species"
-    | "sample", ([ _ ] | [ _; _ ]) ->
+    | "sample", [ _ ] ->
         [
-          step "uniform draw from the leaves table: O(k) index probes in leaves.by_leaf";
-          (if nargs = 2 then
-             step "time-sliced: frontier scan at the cut time, then sample the frontier"
-           else step "k names resolved back through node views");
+          step "uniform draw of k leaf ordinals: O(k) index probes in leaves.by_ord";
+          step "k names resolved back through node views";
         ]
+    | "sample", [ _; _ ] ->
+        frontier_steps ()
+        @ [
+            step "quota k/|F| per frontier subtree, drawn from its leaf-ordinal interval";
+            step "O(k) index probes in leaves.by_ord, names resolved through node views";
+          ]
     | "sample", _ -> bad "sample needs (k) or (k, time)"
-    | "frontier", [ _ ] ->
-        [
-          step "walk from the root, cutting edges crossing the time: O(frontier) node \
-                views";
-        ]
+    | "frontier", [ _ ] -> frontier_steps ()
     | "frontier", _ -> bad "frontier needs exactly one time"
     | "match", [ _ ] ->
         [

@@ -20,7 +20,13 @@ val uniform : Stored_tree.t -> rng:Crimson_util.Prng.t -> k:int -> int list
 val frontier_at : Stored_tree.t -> time:float -> int list
 (** Minimal (closest-to-root) nodes whose root distance strictly exceeds
     [time], in preorder — the paper's example yields [{Bha, x, Syn, Bsu}]
-    at time 1 on Figure 1. Raises {!Invalid_sample} on negative [time]. *)
+    at time 1 on Figure 1. Raises {!Invalid_sample} on a negative or
+    non-finite [time], before reading any node row.
+
+    Runs as a preorder skip-scan over the node rows. The handle's
+    {!Stored_tree.time_index} is built on the first call (one streamed
+    scan of the tree, polling the request deadline per row) and reused
+    until {!Stored_tree.invalidate_cache}. *)
 
 val with_time :
   Stored_tree.t -> rng:Crimson_util.Prng.t -> k:int -> time:float -> int list
@@ -31,4 +37,4 @@ val with_time :
     quota contribute all their leaves; leftover demand spills to the
     other subtrees. Raises {!Invalid_sample} when [k] is not positive,
     exceeds the leaf count, exceeds the leaves below the frontier, or the
-    frontier is empty. *)
+    frontier is empty, and when [time] is rejected by {!frontier_at}. *)

@@ -14,7 +14,11 @@ type t = {
   node_count : int;
   leaf_count : int;
   cache : Node_view.cache;
+  mutable time_index : time_index option;
 }
+
+(* Built and read by [Sampling]; the handle only owns its lifetime. *)
+and time_index = { rd_max : Float.Array.t array; lo_max : int array array }
 
 let of_meta_row ?cache_capacity ?prefetch repo row =
   let id = Record.get_int row Schema.Trees.c_id in
@@ -27,6 +31,7 @@ let of_meta_row ?cache_capacity ?prefetch repo row =
     node_count = Record.get_int row Schema.Trees.c_nodes;
     leaf_count = Record.get_int row Schema.Trees.c_leaves;
     cache = Node_view.create_cache ?capacity:cache_capacity ?prefetch repo ~tree:id;
+    time_index = None;
   }
 
 let open_id ?cache_capacity ?prefetch repo id =
@@ -70,7 +75,23 @@ let view t node =
   Crimson_obs.Profile.node_view ();
   Node_view.node t.cache node
 let cache_stats t = Node_view.stats t.cache
-let invalidate_cache t = Node_view.invalidate t.cache
+
+let invalidate_cache t =
+  Node_view.invalidate t.cache;
+  t.time_index <- None
+
+(* Published only once [build] returns, so a build aborted by a request
+   deadline leaves the slot empty for the next query to retry. *)
+let time_index t ~build =
+  match t.time_index with
+  | Some ix -> ix
+  | None ->
+      let ix = build t in
+      t.time_index <- Some ix;
+      ix
+
+let time_index_resident t = Option.is_some t.time_index
+
 let parent t node = (view t node).Node_view.parent
 let edge_index t node = (view t node).Node_view.edge_index
 

@@ -51,7 +51,27 @@ val cache_stats : t -> Node_view.stats
 (** This handle's view-cache counters. *)
 
 val invalidate_cache : t -> unit
-(** Drop the handle's cached views (see {!Node_view.invalidate}). *)
+(** Drop the handle's cached views (see {!Node_view.invalidate}) and its
+    {!time_index}. *)
+
+(** {1 Time-frontier skip index}
+
+    A resident summary of the node rows in preorder-id order, built once
+    per handle by {!Sampling} and kept here so it lives as long as the
+    handle's view cache. Level 0 holds, for each block of consecutive
+    node ids, the largest [root_dist] and the largest [leaf_lo] in the
+    block; each higher level holds the maxima of a fixed-size group of
+    entries of the level below. *)
+
+type time_index = { rd_max : Float.Array.t array; lo_max : int array array }
+
+val time_index : t -> build:(t -> time_index) -> time_index
+(** The handle's index, calling [build] on first use. If [build] raises
+    (a request deadline, say), nothing is kept and the next call builds
+    again. *)
+
+val time_index_resident : t -> bool
+(** Whether the index has been built and not dropped since. *)
 
 val parent : t -> int -> int
 (** [-1] for the root. Raises {!Unknown_node}. *)

@@ -15,9 +15,18 @@ module Pattern = Crimson_core.Pattern
 module Summary = Crimson_core.Summary
 module Query_lang = Crimson_core.Query_lang
 module Table = Crimson_storage.Table
+module Record = Crimson_storage.Record
+module Schema = Crimson_core.Schema
+module Models = Crimson_sim.Models
+module Deadline = Crimson_obs.Deadline
 module Prng = Crimson_util.Prng
 
 let check = Alcotest.check
+
+let contains needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec scan i = i + nl <= hl && (String.sub hay i nl = needle || scan (i + 1)) in
+  scan 0
 
 let with_temp_dir f =
   let dir = Filename.temp_file "crimson" ".repo" in
@@ -440,6 +449,302 @@ let test_with_time_deep_tree () =
   List.iter
     (fun n -> check Alcotest.bool "leaf" true (Stored_tree.is_leaf stored n))
     sample
+
+let test_sampling_non_finite () =
+  (* The query lexer reads nan and inf as numbers; they must be refused
+     before any node row is read. *)
+  let repo = Repo.open_mem () in
+  let _, stored = load_figure1 repo in
+  let rng = Prng.create 3 in
+  List.iter
+    (fun time ->
+      (match Sampling.frontier_at stored ~time with
+      | exception Sampling.Invalid_sample _ -> ()
+      | _ -> Alcotest.failf "frontier at %g accepted" time);
+      match Sampling.with_time stored ~rng ~k:2 ~time with
+      | exception Sampling.Invalid_sample _ -> ()
+      | _ -> Alcotest.failf "sample at %g accepted" time)
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  List.iter
+    (fun q ->
+      match Query_lang.run ~record:false repo stored q with
+      | Error msg ->
+          check Alcotest.bool (q ^ ": names finiteness") true
+            (contains "finite" msg)
+      | Ok _ -> Alcotest.failf "%s accepted" q)
+    [ "sample(2, inf)"; "sample(2, -inf)"; "sample(2, nan)"; "frontier(inf)" ];
+  check Alcotest.bool "no index built" false (Stored_tree.time_index_resident stored)
+
+(* Pins the RNG consumption of [with_time]: the leaf ids two
+   consecutive draws return for fixed seeds. *)
+let test_with_time_golden () =
+  let repo = Repo.open_mem () in
+  let trees =
+    [
+      ("yule", Models.yule ~rng:(Prng.create 41) ~leaves:300 ());
+      ("poly", Models.random_attachment ~rng:(Prng.create 43) ~leaves:200 ());
+      ("cat", Models.caterpillar ~rng:(Prng.create 47) ~leaves:80 ());
+    ]
+  in
+  let golden =
+    [
+      ( "yule", 1, 7, 0.3,
+        [ 44; 117; 168; 337; 367; 533; 598 ],
+        [ 27; 69; 224; 303; 436; 490; 598 ] );
+      ( "yule", 2, 12, 0.7,
+        [ 81; 166; 171; 213; 217; 232; 278; 287; 359; 418; 480; 569 ],
+        [ 15; 82; 168; 199; 217; 276; 297; 315; 403; 425; 522; 595 ] );
+      ( "yule", 3, 5, 0.5,
+        [ 42; 106; 351; 381; 449 ],
+        [ 283; 357; 368; 468; 506 ] );
+      ( "yule", 4, 9, 0.1,
+        [ 103; 90; 12; 167; 259; 468; 350; 580; 579 ],
+        [ 88; 24; 165; 259; 455; 304; 513; 559; 568 ] );
+      ( "poly", 1, 7, 0.3,
+        [ 147; 159; 193; 257; 308; 348; 363 ],
+        [ 187; 219; 324; 355; 368; 369; 392 ] );
+      ( "poly", 2, 12, 0.7,
+        [ 32; 49; 50; 55; 68; 84; 95; 98; 165; 168; 169; 176 ],
+        [ 32; 47; 49; 50; 51; 55; 70; 84; 94; 165; 169; 176 ] );
+      ( "poly", 3, 5, 0.5,
+        [ 74; 191; 270; 318; 361 ],
+        [ 107; 111; 230; 232; 273 ] );
+      ( "poly", 4, 9, 0.1,
+        [ 5; 3; 7; 14; 10; 18; 86; 400; 401 ],
+        [ 7; 3; 10; 14; 12; 18; 193; 400; 401 ] );
+      ( "cat", 1, 7, 0.3,
+        [ 47; 89; 61; 95; 119; 135; 55 ],
+        [ 47; 59; 119; 91; 83; 93; 123 ] );
+      ( "cat", 2, 12, 0.7,
+        [ 111; 125; 155; 153; 141; 119; 158; 121; 157; 135; 123; 147 ],
+        [ 111; 149; 133; 157; 129; 137; 135; 158; 131; 147; 115; 121 ] );
+      ( "cat", 3, 5, 0.5,
+        [ 79; 125; 87; 139; 81 ],
+        [ 79; 121; 103; 141; 107 ] );
+      ( "cat", 4, 9, 0.1,
+        [ 17; 63; 129; 79; 31; 149; 119; 113; 89 ],
+        [ 17; 81; 39; 139; 25; 51; 158; 121; 113 ] );
+    ]
+  in
+  let stored =
+    List.map
+      (fun (name, t) ->
+        let height = Array.fold_left Float.max 0.0 (Tree.root_distance t) in
+        (name, ((Loader.load_tree ~f:4 repo ~name t).tree, height)))
+      trees
+  in
+  List.iter
+    (fun (name, seed, k, fraction, first, second) ->
+      let tree, height = List.assoc name stored in
+      let rng = Prng.create seed in
+      let time = fraction *. height in
+      let label i = Printf.sprintf "%s seed %d draw %d" name seed i in
+      check (Alcotest.list Alcotest.int) (label 1) first (Sampling.with_time tree ~rng ~k ~time);
+      check (Alcotest.list Alcotest.int) (label 2) second (Sampling.with_time tree ~rng ~k ~time))
+    golden
+
+(* ------------------- Frontier: differential suite ------------------ *)
+
+(* The definition the skip-scan must reproduce: the first node on each
+   root path whose root distance exceeds [time], in preorder. Arrays are
+   indexed by stored (preorder) id, so parents come first. *)
+let oracle_frontier ~parent ~rd ~time =
+  let n = Array.length rd in
+  let covered = Array.make n false in
+  let acc = ref [] in
+  for v = 0 to n - 1 do
+    let p = parent.(v) in
+    if p >= 0 then covered.(v) <- covered.(p) || rd.(p) > time;
+    if (not covered.(v)) && rd.(v) > time then acc := v :: !acc
+  done;
+  List.rev !acc
+
+(* [t]'s parent and root-distance arrays indexed by stored id. *)
+let stored_arrays t =
+  let n = Tree.node_count t in
+  let rank = Tree.preorder_rank t and rd0 = Tree.root_distance t in
+  let parent = Array.make n (-1) and rd = Array.make n 0.0 in
+  for v = 0 to n - 1 do
+    if v <> Tree.root t then parent.(rank.(v)) <- rank.(Tree.parent t v);
+    rd.(rank.(v)) <- rd0.(v)
+  done;
+  (parent, rd)
+
+type shape = Caterpillar | Yule | Polytomy | Unary | Straddle
+type edges = As_built | Zero_and_ties | Negative
+
+let shape_name = function
+  | Caterpillar -> "caterpillar"
+  | Yule -> "yule"
+  | Polytomy -> "polytomy"
+  | Unary -> "unary chains"
+  | Straddle -> "block straddle"
+
+let edges_name = function
+  | As_built -> "as built"
+  | Zero_and_ties -> "zero-length and tied"
+  | Negative -> "negative"
+
+(* Wide polytomies: a root with dozens of children, some of them
+   polytomies again. *)
+let polytomy rng =
+  let b = Tree.Builder.create () in
+  let root = Tree.Builder.add_root b in
+  for _ = 1 to 16 + Prng.int rng 100 do
+    let c = Tree.Builder.add_child ~branch_length:(Prng.float rng 2.0) b ~parent:root in
+    if Prng.int rng 3 = 0 then
+      for _ = 1 to 2 + Prng.int rng 20 do
+        ignore (Tree.Builder.add_child ~branch_length:(Prng.float rng 2.0) b ~parent:c)
+      done
+  done;
+  Tree.Builder.finish b
+
+(* Random attachment where half the new nodes hang below a chain of one
+   to four unary nodes; chain nodes never take a second child. *)
+let unary_chains rng =
+  let b = Tree.Builder.create () in
+  let attachable = Crimson_util.Vec.create () in
+  Crimson_util.Vec.push attachable (Tree.Builder.add_root b);
+  for _ = 1 to 20 + Prng.int rng 150 do
+    let parent =
+      Crimson_util.Vec.get attachable (Prng.int rng (Crimson_util.Vec.length attachable))
+    in
+    let parent =
+      if Prng.bool rng then begin
+        let p = ref parent in
+        for _ = 1 to 1 + Prng.int rng 4 do
+          p := Tree.Builder.add_child ~branch_length:(Prng.float rng 1.0) b ~parent:!p
+        done;
+        !p
+      end
+      else parent
+    in
+    Crimson_util.Vec.push attachable
+      (Tree.Builder.add_child ~branch_length:(Prng.float rng 1.0) b ~parent)
+  done;
+  Tree.Builder.finish b
+
+let make_shape rng = function
+  | Caterpillar -> Models.caterpillar ~rng ~leaves:(40 + Prng.int rng 120) ()
+  | Yule -> Models.yule ~rng ~leaves:(2 + Prng.int rng 200) ()
+  | Polytomy -> polytomy rng
+  | Unary -> unary_chains rng
+  | Straddle ->
+      let sizes = [| 1; 2; 15; 16; 17; 31; 32; 33; 255; 256; 257; 271; 272; 273 |] in
+      Helpers.random_tree rng sizes.(Prng.int rng (Array.length sizes))
+
+(* Load [t], then give it the edge lengths of [edges] by rewriting the
+   stored root distances: the loader's trees only have positive edges.
+   Returns the handle with the stored parent and root-distance arrays. *)
+let load_with_edges repo rng ~f t edges =
+  ignore (Loader.load_tree ~f repo ~name:"shape" t);
+  let parent, rd = stored_arrays t in
+  let draw () =
+    match edges with
+    | As_built -> assert false
+    | Zero_and_ties -> float_of_int (Prng.int rng 3)
+    | Negative ->
+        if Prng.bool rng then float_of_int (Prng.int rng 5 - 2) else Prng.float rng 4.0 -. 2.0
+  in
+  if edges <> As_built then begin
+    for v = 1 to Array.length rd - 1 do
+      rd.(v) <- rd.(parent.(v)) +. draw ()
+    done;
+    let rows = ref [] in
+    Table.scan (Repo.nodes repo) (fun rid row -> rows := (rid, row) :: !rows);
+    List.iter
+      (fun (rid, row) ->
+        let row = Array.copy row in
+        row.(Schema.Nodes.c_root_dist) <- Record.VFloat rd.(Record.get_int row Schema.Nodes.c_node);
+        ignore (Table.update (Repo.nodes repo) rid row))
+      !rows
+  end;
+  (Stored_tree.open_name repo "shape", parent, rd)
+
+let shape_gen =
+  QCheck.Gen.(
+    triple (int_bound 1_000_000)
+      (oneofl [ Caterpillar; Yule; Polytomy; Unary; Straddle ])
+      (oneofl [ As_built; Zero_and_ties; Negative ]))
+
+let prop_frontier_matches_oracle =
+  QCheck.Test.make ~name:"skip-scan frontier = first node beyond t on each path"
+    ~count:100
+    (QCheck.make shape_gen ~print:(fun (seed, shape, edges) ->
+         Printf.sprintf "seed %d, %s, %s edges" seed (shape_name shape) (edges_name edges)))
+  @@ fun (seed, shape, edges) ->
+  let rng = Prng.create seed in
+  let repo = Repo.open_mem () in
+  (* f = 2 takes the caterpillars to three or more label layers. *)
+  let f = if shape = Caterpillar then 2 else 8 in
+  let stored, parent, rd = load_with_edges repo rng ~f (make_shape rng shape) edges in
+  if shape = Caterpillar && Stored_tree.layer_count stored < 3 then
+    QCheck.Test.fail_reportf "caterpillar has only %d label layers"
+      (Stored_tree.layer_count stored);
+  let n = Array.length rd in
+  let height = Array.fold_left Float.max 0.0 rd in
+  let exact = List.init 8 (fun _ -> rd.(Prng.int rng n)) in
+  let uniform = List.init 4 (fun _ -> Prng.float rng height) in
+  List.iter
+    (fun time ->
+      let expected = oracle_frontier ~parent ~rd ~time in
+      let got = Sampling.frontier_at stored ~time in
+      if got <> expected then
+        QCheck.Test.fail_reportf "t=%h (n=%d): got [%s], expected [%s]" time n
+          (String.concat ";" (List.map string_of_int got))
+          (String.concat ";" (List.map string_of_int expected)))
+    (List.filter (fun t -> t >= 0.0) ((0.0 :: (height +. 1.0) :: exact) @ uniform));
+  true
+
+let test_frontier_three_levels () =
+  (* Above 16^3 ids the index has three levels; the property's trees
+     have at most two. *)
+  let repo = Repo.open_mem () in
+  let rng = Prng.create 13 in
+  List.iter
+    (fun (name, t) ->
+      let stored = (Loader.load_tree repo ~name t).tree in
+      let parent, rd = stored_arrays t in
+      for _ = 1 to 40 do
+        let time = rd.(Prng.int rng (Array.length rd)) in
+        check (Alcotest.list Alcotest.int)
+          (Printf.sprintf "%s at %g" name time)
+          (oracle_frontier ~parent ~rd ~time)
+          (Sampling.frontier_at stored ~time)
+      done)
+    [
+      ("caterpillar", Models.caterpillar ~rng ~leaves:2500 ());
+      ("yule", Models.yule ~rng ~leaves:2500 ());
+    ]
+
+let test_frontier_index_lifetime () =
+  (* Built once per handle, dropped with the view cache, rebuilt on the
+     next time query. *)
+  let repo = Repo.open_mem () in
+  let _, stored = load_figure1 repo in
+  check Alcotest.bool "cold" false (Stored_tree.time_index_resident stored);
+  let first = Sampling.frontier_at stored ~time:1.0 in
+  check Alcotest.bool "built" true (Stored_tree.time_index_resident stored);
+  Stored_tree.invalidate_cache stored;
+  check Alcotest.bool "dropped" false (Stored_tree.time_index_resident stored);
+  check (Alcotest.list Alcotest.int) "same frontier" first
+    (Sampling.frontier_at stored ~time:1.0)
+
+let test_frontier_build_deadline () =
+  (* A deadline that expires during the index build aborts the query and
+     publishes nothing; the next query builds again and answers. *)
+  let repo = Repo.open_mem () in
+  let t = Models.yule ~rng:(Prng.create 5) ~leaves:3000 () in
+  let stored = (Loader.load_tree repo ~name:"y" t).tree in
+  (match Deadline.with_timeout 1e-6 (fun () -> Sampling.frontier_at stored ~time:1.0) with
+  | Error `Timeout -> ()
+  | Ok _ -> Alcotest.fail "the build outran a 1 us deadline");
+  check Alcotest.bool "nothing published" false (Stored_tree.time_index_resident stored);
+  let parent, rd = stored_arrays t in
+  check (Alcotest.list Alcotest.int) "retry answers"
+    (oracle_frontier ~parent ~rd ~time:1.0)
+    (Sampling.frontier_at stored ~time:1.0);
+  check Alcotest.bool "published" true (Stored_tree.time_index_resident stored)
 
 (* ---------------------------- Projection --------------------------- *)
 
@@ -963,6 +1268,13 @@ let () =
           Alcotest.test_case "invalid inputs" `Quick test_sampling_errors;
           Alcotest.test_case "quota spill" `Quick test_with_time_quota_spill;
           Alcotest.test_case "deep tree" `Quick test_with_time_deep_tree;
+          Alcotest.test_case "non-finite times" `Quick test_sampling_non_finite;
+          Alcotest.test_case "with_time golden draws" `Quick test_with_time_golden;
+          Alcotest.test_case "three-level index" `Quick test_frontier_three_levels;
+          Alcotest.test_case "index lifetime" `Quick test_frontier_index_lifetime;
+          Alcotest.test_case "deadline during index build" `Quick
+            test_frontier_build_deadline;
+          QCheck_alcotest.to_alcotest prop_frontier_matches_oracle;
         ] );
       ( "projection",
         [

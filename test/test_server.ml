@@ -208,6 +208,10 @@ let test_engine_sessions () =
   (* Malformed input is an error reply, never a crash, session kept. *)
   let r = expect_err (Engine.handle_line t s1 "QUERY lca(((((") in
   check Alcotest.bool "malformed keeps session" false r.Engine.close;
+  (* A non-finite sample time is refused before any node is read. *)
+  let r = expect_err (Engine.handle_line t s1 "QUERY sample(2, inf)") in
+  check Alcotest.bool "names finiteness" true (contains "finite" (body r));
+  check Alcotest.bool "non-finite keeps session" false r.Engine.close;
   ignore (expect_err (Engine.handle_line t s1 "BOGUS"));
   ignore (expect_err (Engine.handle_line t s1 ""));
   (* STATS carries the registry, including server counters. *)
