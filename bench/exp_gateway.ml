@@ -12,7 +12,10 @@
    at the largest size. The end-to-end phase serves the largest tree
    over a real gateway socket and measures overview GET latency and the
    conditional-GET path: after the first 200, every revalidation must
-   come back 304 Not Modified. *)
+   come back 304 Not Modified. Between the two, the largest overview
+   reply is built through the worker core and its JSON encoding timed
+   on its own (`encode_l8000_ms`), the layer a served GET adds on top of
+   the query. *)
 
 open Bench_common
 module Repo = Crimson_core.Repo
@@ -24,6 +27,9 @@ module Wire = Crimson_server.Wire
 module Engine = Crimson_server.Engine
 module Server = Crimson_server.Server
 module Http_client = Crimson_server.Http_client
+module Worker_core = Crimson_server.Worker_core
+module Request = Crimson_gateway.Request
+module Response = Crimson_gateway.Response
 
 let sizes = [ 500; 2000; 8000 ]
 let reps = 40
@@ -130,6 +136,28 @@ let run () =
       let repo_dir, repo, stored =
         match !largest with Some x -> x | None -> failwith "no largest tree"
       in
+      (* The served reply's JSON, encoded in-process: the same fields
+         the gateway renders for GET /v1/trees/bench/overview?depth=1. *)
+      let encode_ms, reply_bytes =
+        let core = Worker_core.create repo in
+        let session =
+          match Worker_core.open_session core with
+          | Ok s -> s
+          | Error _ -> failwith "E17: session refused"
+        in
+        match
+          Worker_core.dispatch core session
+            (Request.Overview { tree = "bench"; depth = 1 })
+        with
+        | Response.Reply { fields; _ } ->
+            let reply = Json.Obj (("ok", Json.Bool true) :: fields) in
+            let bytes = String.length (Json.to_string reply) in
+            Worker_core.close_session core session;
+            (time_mean ~reps (fun () -> ignore (Json.to_string reply)), bytes)
+        | Response.Err { message; _ } -> failwith ("E17 overview: " ^ message)
+      in
+      note "overview reply at %d leaves: %d bytes, encoded in %.3f ms"
+        (List.fold_left max 0 sizes) reply_bytes encode_ms;
       let fallback_ms =
         drop_summaries repo;
         time_mean ~reps:5 (fun () -> overview_once stored)
@@ -206,6 +234,7 @@ let run () =
           (List.rev !fields
           @ [
               ("summary_hit_ratio", Json.Num hit_ratio);
+              ("encode_l8000_ms", Json.Num encode_ms);
               ("fallback_scan_ms", Json.Num fallback_ms);
               ("http_overview_ms", Json.Num http_ms);
               ("etag_304_rate", Json.Num rate_304);

@@ -1,4 +1,3 @@
-module Json = Crimson_obs.Json
 module Metrics = Crimson_obs.Metrics
 
 let m_requests = Metrics.counter "gateway.requests"
@@ -9,15 +8,6 @@ type handlers = {
   dispatch : Request.t -> Request.format -> Response.t;
   validator : Request.t -> string option;
 }
-
-let error_body code message =
-  Json.to_string
-    (Json.Obj
-       [ ("ok", Json.Bool false); ("error", Response.error_json code message) ])
-  ^ "\n"
-
-let reply_body fields =
-  Json.to_string (Json.Obj (("ok", Json.Bool true) :: fields)) ^ "\n"
 
 (* One HTTP exchange: route, try the conditional-GET fast path, else
    dispatch through the shared verb handlers and render per the
@@ -31,7 +21,7 @@ let respond handlers (r : Http.request) =
       Metrics.Counter.incr m_errors;
       ( Http.render
           ~status:(Response.http_status code)
-          ~keep_alive (error_body code message),
+          ~keep_alive (Response.error_line code message),
         not keep_alive )
   | Ok (req, fmt) -> (
       let etag =
@@ -59,12 +49,12 @@ let respond handlers (r : Http.request) =
                       ~extra ~keep_alive (tree ^ "\n"),
                     not keep_alive )
               | (Request.Json | Request.Newick), _ ->
-                  ( Http.render ~extra ~keep_alive (reply_body fields),
+                  ( Http.render ~extra ~keep_alive (Response.ok_line fields),
                     not keep_alive ))
           | Response.Err { code; message; close } ->
               Metrics.Counter.incr m_errors;
               let keep_alive = keep_alive && not close in
               ( Http.render
                   ~status:(Response.http_status code)
-                  ~keep_alive (error_body code message),
+                  ~keep_alive (Response.error_line code message),
                 not keep_alive )))

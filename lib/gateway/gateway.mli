@@ -21,7 +21,3 @@ type handlers = {
 
 val respond : handlers -> Http.request -> string * bool
 (** [(rendered_response, close_after)]. *)
-
-val error_body : Response.code -> string -> string
-(** The [{"ok":false,"error":{…}}] JSON body (shared with admission
-    rejections rendered outside {!respond}). *)

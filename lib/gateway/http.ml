@@ -73,10 +73,18 @@ let query_param r name = List.assoc_opt name r.query
 
 (* ------------------------------ Parser ------------------------------ *)
 
+(* [buf] starts at the first byte of the request being received. The
+   decoder remembers how far it has searched that request for its head
+   terminator and, once the head is parsed, the head itself, so every
+   received byte is scanned once: a head trickled in one byte per read
+   costs no more than the same head received whole. *)
 type decoder = {
   max_head : int;
   max_body : int;
   buf : Buffer.t;
+  mutable scanned : int;  (* no "\r\n\r\n" starts before this offset *)
+  mutable head : (request * int * int) option;
+      (* parsed head awaiting its body: request, body offset, length *)
   mutable broken : bool;
 }
 
@@ -85,13 +93,37 @@ let default_max_body = 256 * 1024
 
 let create_decoder ?(max_head = default_max_head) ?(max_body = default_max_body)
     () =
-  { max_head; max_body; buf = Buffer.create 512; broken = false }
+  {
+    max_head;
+    max_body;
+    buf = Buffer.create 512;
+    scanned = 0;
+    head = None;
+    broken = false;
+  }
 
 let pending p = Buffer.length p.buf
 
-let find_sub s sub from =
-  let n = String.length s and m = String.length sub in
-  let rec go i = if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1) in
+let terminator = "\r\n\r\n"
+
+(* Offset of the first "\r\n\r\n" in [buf] at or after [from], found
+   in place; [Error k] when there is none and the last [k] bytes (0–3,
+   none before [from]) begin one, so a terminator can start no earlier
+   than [length - k]. *)
+let find_terminator buf from =
+  let n = Buffer.length buf in
+  (* Do the [m] bytes at [i] match the terminator's first [m]? *)
+  let rec prefix i m j =
+    j >= m || (Buffer.nth buf (i + j) = terminator.[j] && prefix i m (j + 1))
+  in
+  let rec partial k =
+    if k = 0 || (n - k >= from && prefix (n - k) k 0) then k else partial (k - 1)
+  in
+  let rec go i =
+    if i + 4 > n then Error (partial 3)
+    else if prefix i 4 0 then Ok i
+    else go (i + 1)
+  in
   go from
 
 let parse_head head =
@@ -152,51 +184,72 @@ let feed p data =
     let fail msg =
       p.broken <- true;
       Buffer.clear p.buf;
+      p.head <- None;
       Error msg
     in
-    let rec drain acc =
-      let s = Buffer.contents p.buf in
-      match find_sub s "\r\n\r\n" 0 with
-      | None ->
-          if String.length s > p.max_head then
-            fail (Printf.sprintf "request head exceeds the %d-byte cap" p.max_head)
-          else Ok (List.rev acc)
-      | Some head_end -> (
-          if head_end > p.max_head then
-            fail (Printf.sprintf "request head exceeds the %d-byte cap" p.max_head)
-          else
-            match parse_head (String.sub s 0 head_end) with
-            | Error msg -> fail msg
-            | Ok req -> (
-                let content_length =
-                  match header req "content-length" with
-                  | None -> Ok 0
-                  | Some v -> (
-                      match int_of_string_opt (String.trim v) with
-                      | Some n when n >= 0 -> Ok n
-                      | Some _ | None -> Error "malformed Content-Length")
-                in
-                match content_length with
-                | Error msg -> fail msg
-                | Ok len when len > p.max_body ->
-                    fail
-                      (Printf.sprintf "request body exceeds the %d-byte cap"
-                         p.max_body)
-                | Ok len ->
-                    let body_start = head_end + 4 in
-                    if String.length s - body_start < len then Ok (List.rev acc)
-                    else begin
-                      let body = String.sub s body_start len in
-                      let rest_start = body_start + len in
-                      let rest =
-                        String.sub s rest_start (String.length s - rest_start)
-                      in
-                      Buffer.clear p.buf;
-                      Buffer.add_string p.buf rest;
-                      drain ({ req with body } :: acc)
-                    end))
+    let head_too_large () =
+      fail (Printf.sprintf "request head exceeds the %d-byte cap" p.max_head)
     in
-    drain []
+    (* Keep the bytes from [start] on: the requests before it are
+       complete, so every kept byte arrived in this call. *)
+    let finish start acc =
+      if start > 0 then begin
+        let rest = Buffer.sub p.buf start (Buffer.length p.buf - start) in
+        Buffer.clear p.buf;
+        Buffer.add_string p.buf rest
+      end;
+      Ok (List.rev acc)
+    in
+    (* [start]: offset of the request being decoded; [p.scanned] and
+       [p.head] are relative to it. *)
+    let rec drain start acc =
+      match p.head with
+      | Some (req, body_at, len) ->
+          if Buffer.length p.buf - (start + body_at) < len then finish start acc
+          else begin
+            let body = Buffer.sub p.buf (start + body_at) len in
+            p.head <- None;
+            p.scanned <- 0;
+            drain (start + body_at + len) ({ req with body } :: acc)
+          end
+      | None -> (
+          match find_terminator p.buf (start + p.scanned) with
+          | Error partial ->
+              (* A terminator can start no earlier than [earliest]: fail
+                 only once the head is sure to exceed the cap, so the
+                 verdict does not depend on how the bytes were split. *)
+              let earliest = Buffer.length p.buf - partial - start in
+              if earliest > p.max_head then head_too_large ()
+              else begin
+                p.scanned <- earliest;
+                finish start acc
+              end
+          | Ok at -> (
+              let head_end = at - start in
+              if head_end > p.max_head then head_too_large ()
+              else
+                match parse_head (Buffer.sub p.buf start head_end) with
+                | Error msg -> fail msg
+                | Ok req -> (
+                    let content_length =
+                      match header req "content-length" with
+                      | None -> Ok 0
+                      | Some v -> (
+                          match int_of_string_opt (String.trim v) with
+                          | Some n when n >= 0 -> Ok n
+                          | Some _ | None -> Error "malformed Content-Length")
+                    in
+                    match content_length with
+                    | Error msg -> fail msg
+                    | Ok len when len > p.max_body ->
+                        fail
+                          (Printf.sprintf "request body exceeds the %d-byte cap"
+                             p.max_body)
+                    | Ok len ->
+                        p.head <- Some (req, head_end + 4, len);
+                        drain start acc)))
+    in
+    drain 0 []
   end
 
 (* ----------------------------- Rendering ----------------------------- *)
@@ -220,16 +273,21 @@ let reason = function
 let render ?(status = 200) ?(content_type = "application/json")
     ?(extra = []) ?(keep_alive = false) body =
   let buf = Buffer.create (String.length body + 160) in
-  Buffer.add_string buf
-    (Printf.sprintf "HTTP/1.1 %d %s\r\n" status (reason status));
-  Buffer.add_string buf (Printf.sprintf "Content-Type: %s\r\n" content_type);
-  Buffer.add_string buf
-    (Printf.sprintf "Content-Length: %d\r\n" (String.length body));
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%s: %s\r\n" k v))
-    extra;
-  Buffer.add_string buf
-    (Printf.sprintf "Connection: %s\r\n\r\n"
-       (if keep_alive then "keep-alive" else "close"));
+  let header name value =
+    Buffer.add_string buf name;
+    Buffer.add_string buf ": ";
+    Buffer.add_string buf value;
+    Buffer.add_string buf "\r\n"
+  in
+  Buffer.add_string buf "HTTP/1.1 ";
+  Buffer.add_string buf (string_of_int status);
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf (reason status);
+  Buffer.add_string buf "\r\n";
+  header "Content-Type" content_type;
+  header "Content-Length" (string_of_int (String.length body));
+  List.iter (fun (k, v) -> header k v) extra;
+  header "Connection" (if keep_alive then "keep-alive" else "close");
+  Buffer.add_string buf "\r\n";
   Buffer.add_string buf body;
   Buffer.contents buf

@@ -60,4 +60,16 @@ let error_json code message =
       ("code", Json.Str (code_string code)); ("message", Json.Str message);
     ]
 
+(* One LF-terminated JSON line, encoded straight into its buffer. *)
+let json_line v =
+  let buf = Buffer.create 256 in
+  Json.to_buffer buf v;
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
+
+let ok_line fields = json_line (Json.Obj (("ok", Json.Bool true) :: fields))
+
+let error_line code message =
+  json_line (Json.Obj [ ("ok", Json.Bool false); ("error", error_json code message) ])
+
 let closes = function Reply { close; _ } -> close | Err { close; _ } -> close

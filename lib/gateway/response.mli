@@ -48,4 +48,12 @@ val err : ?close:bool -> code -> string -> t
 val error_json : code -> string -> Json.t
 (** The [{"code":…,"message":…}] object both front ends embed. *)
 
+val ok_line : (string * Json.t) list -> string
+(** [{"ok":true, <fields>}] plus the LF terminator: a wire reply line
+    and an HTTP JSON body alike. *)
+
+val error_line : code -> string -> string
+(** [{"ok":false,"error":{"code":<code>,"message":<msg>}}] plus the LF
+    terminator. *)
+
 val closes : t -> bool

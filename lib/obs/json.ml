@@ -13,54 +13,95 @@ let fail pos fmt =
 
 (* ----------------------------- Rendering ---------------------------- *)
 
+(* The encoder writes straight into the caller's [Buffer] and keeps no
+   state of its own, so worker domains may encode concurrently. Numbers
+   must keep the bytes "%.0f" (integers) and "%.17g" (other floats)
+   print: wire replies, ETag-covered bodies and the wire golden file
+   hold them. *)
+
+let hex_digit n = "0123456789abcdef".[n]
+
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
 let escape_to buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
+  let n = String.length s in
+  (* Copy runs of plain bytes whole; only escapable bytes are handled
+     one at a time. *)
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if needs_escape c then begin
+      if i > !run then Buffer.add_substring buf s !run (i - !run);
+      run := i + 1;
       match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c ->
+          Buffer.add_string buf "\\u00";
+          Buffer.add_char buf (hex_digit (Char.code c lsr 4));
+          Buffer.add_char buf (hex_digit (Char.code c land 0xf))
+    end
+  done;
+  if n > !run then Buffer.add_substring buf s !run (n - !run);
   Buffer.add_char buf '"'
 
-let number_to_string x =
-  if Float.is_nan x || Float.abs x = Float.infinity then "null"
-  else if Float.is_integer x && Float.abs x <= 1e15 then Printf.sprintf "%.0f" x
-  else Printf.sprintf "%.17g" x
+(* Decimal digits of a non-negative int, most significant first. *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+
+(* The primitive [Printf.sprintf "%.17g"] itself calls for a finite
+   float, minus the format interpretation around it. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let number_to buf x =
+  if Float.is_nan x || Float.abs x = Float.infinity then Buffer.add_string buf "null"
+  else if Float.is_integer x && Float.abs x <= 1e15 then begin
+    (* Exact in an OCaml int (|x| <= 1e15 < 2^62); "%.0f" keeps the
+       sign of -0.0, so this does too. *)
+    if Float.sign_bit x then Buffer.add_char buf '-';
+    add_digits buf (Float.to_int (Float.abs x))
+  end
+  else Buffer.add_string buf (format_float "%.17g" x)
+
+let rec to_buffer buf = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Num x -> number_to buf x
+  | Str s -> escape_to buf s
+  | List [] -> Buffer.add_string buf "[]"
+  | List (item :: items) ->
+      Buffer.add_char buf '[';
+      to_buffer buf item;
+      List.iter
+        (fun item ->
+          Buffer.add_char buf ',';
+          to_buffer buf item)
+        items;
+      Buffer.add_char buf ']'
+  | Obj [] -> Buffer.add_string buf "{}"
+  | Obj (field :: fields) ->
+      let add_field (k, item) =
+        escape_to buf k;
+        Buffer.add_char buf ':';
+        to_buffer buf item
+      in
+      Buffer.add_char buf '{';
+      add_field field;
+      List.iter
+        (fun field ->
+          Buffer.add_char buf ',';
+          add_field field)
+        fields;
+      Buffer.add_char buf '}'
 
 let to_string v =
   let buf = Buffer.create 256 in
-  let rec go = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Num x -> Buffer.add_string buf (number_to_string x)
-    | Str s -> escape_to buf s
-    | List items ->
-        Buffer.add_char buf '[';
-        List.iteri
-          (fun i item ->
-            if i > 0 then Buffer.add_char buf ',';
-            go item)
-          items;
-        Buffer.add_char buf ']'
-    | Obj fields ->
-        Buffer.add_char buf '{';
-        List.iteri
-          (fun i (k, item) ->
-            if i > 0 then Buffer.add_char buf ',';
-            escape_to buf k;
-            Buffer.add_char buf ':';
-            go item)
-          fields;
-        Buffer.add_char buf '}'
-  in
-  go v;
+  to_buffer buf v;
   Buffer.contents buf
 
 (* ------------------------------ Parsing ----------------------------- *)

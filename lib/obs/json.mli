@@ -17,9 +17,15 @@ type t =
 exception Parse_error of { pos : int; message : string }
 
 val to_string : t -> string
-(** Compact single-line rendering. Numbers that are exact integers print
-    without a fractional part; NaN and infinities render as [null]
-    (JSON has no spelling for them). *)
+(** Compact single-line rendering. Numbers that are exact integers with
+    magnitude at most 1e15 print as plain decimal digits (["-0"] for
+    [-0.0]); other finite numbers print as ["%.17g"] does; NaN and
+    infinities render as [null] (JSON has no spelling for them). *)
+
+val to_buffer : Buffer.t -> t -> unit
+(** [to_buffer buf v] appends exactly the bytes of [to_string v] to
+    [buf]. The encoder keeps no shared state, so concurrent domains may
+    call it on their own buffers. *)
 
 val parse : string -> t
 (** Strict parser for the subset above. Raises {!Parse_error} with the

@@ -1,6 +1,6 @@
 (* Transport plumbing shared by the single-worker server loop and the
    coordinator's worker domains: the listening socket and the
-   per-connection buffering (line framing in, drained-on-writable bytes
+   per-connection buffering (line framing in, a queue of whole replies
    out). No protocol logic lives here — callers feed lines to a
    Worker_core and enqueue the reply bodies. *)
 
@@ -59,8 +59,9 @@ type 'a t = {
   fd : Unix.file_descr;
   meta : 'a;
   inbuf : Wire.Line_buffer.t;
-  out : Buffer.t;  (* bytes not yet written, from [out_pos] *)
-  mutable out_pos : int;
+  out : string Queue.t;  (* whole replies not yet fully written, oldest first *)
+  mutable out_pos : int;  (* bytes of the head reply already written *)
+  mutable out_bytes : int;  (* unwritten bytes across the whole queue *)
   mutable closing : bool;  (* no more reads; close once [out] drains *)
 }
 
@@ -69,34 +70,48 @@ let make ~max_line ~meta fd =
     fd;
     meta;
     inbuf = Wire.Line_buffer.create ~max_line;
-    out = Buffer.create 256;
+    out = Queue.create ();
     out_pos = 0;
+    out_bytes = 0;
     closing = false;
   }
 
-let pending_out c = Buffer.length c.out - c.out_pos
+let pending_out c = c.out_bytes
 
 let enqueue c s =
-  (* Compact once everything written so the buffer cannot grow without
-     bound across a long session. *)
-  if pending_out c = 0 then begin
-    Buffer.clear c.out;
-    c.out_pos <- 0
-  end;
-  Buffer.add_string c.out s
+  if s <> "" then begin
+    Queue.push s c.out;
+    c.out_bytes <- c.out_bytes + String.length s
+  end
 
-(* One non-blocking write attempt; false when the connection died. *)
+(* Write queued replies in order until they are gone or the socket
+   would block; a reply is written from where the last attempt left
+   off, never copied. False when the connection died. *)
 let flush c =
-  let n = pending_out c in
-  if n = 0 then true
-  else
-    match Unix.write_substring c.fd (Buffer.contents c.out) c.out_pos n with
-    | written ->
-        c.out_pos <- c.out_pos + written;
-        true
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-        true
-    | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> false
+  let rec go () =
+    match Queue.peek_opt c.out with
+    | None -> true
+    | Some s ->
+        let n = String.length s - c.out_pos in
+        let written = Unix.write_substring c.fd s c.out_pos n in
+        c.out_bytes <- c.out_bytes - written;
+        if written = n then begin
+          ignore (Queue.pop c.out);
+          c.out_pos <- 0;
+          go ()
+        end
+        else begin
+          c.out_pos <- c.out_pos + written;
+          true
+        end
+  in
+  match go () with
+  | alive -> alive
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+      true
+  | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> false
+
+let settle c = flush c && not (c.closing && c.out_bytes = 0)
 
 type read_result =
   | Lines of string list  (* complete request lines, in arrival order *)

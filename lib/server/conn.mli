@@ -18,8 +18,9 @@ type 'a t = {
       (** Per-connection payload: a [Worker_core.session] on the wire
           protocol, HTTP request state on the observability endpoint. *)
   inbuf : Wire.Line_buffer.t;
-  out : Buffer.t;
-  mutable out_pos : int;  (** Bytes of [out] already written. *)
+  out : string Queue.t;  (** Whole replies not yet fully written. *)
+  mutable out_pos : int;  (** Bytes of the head of [out] already written. *)
+  mutable out_bytes : int;  (** Unwritten bytes across [out]. *)
   mutable closing : bool;  (** No more reads; close once [out] drains. *)
 }
 
@@ -29,11 +30,20 @@ val pending_out : 'a t -> int
 (** Buffered reply bytes not yet written. *)
 
 val enqueue : 'a t -> string -> unit
-(** Append a reply body to the out buffer (compacting when drained). *)
+(** Queue a reply body behind the ones not yet written. The string is
+    kept as it is, not copied. *)
 
 val flush : 'a t -> bool
-(** One non-blocking write attempt; [false] when the peer is gone
-    (EPIPE / ECONNRESET). *)
+(** Write queued replies, in order, until the queue is empty or the
+    socket would block; [false] when the peer is gone (EPIPE /
+    ECONNRESET). *)
+
+val settle : 'a t -> bool
+(** {!flush}, then say whether the connection stays open: [false] when
+    the peer is gone, or when the connection is closing and every reply
+    has been written. The server loops call it right after handling a
+    read and whenever [select] reports the socket writable, and drop
+    the connection (releasing its session) on [false]. *)
 
 type read_result =
   | Lines of string list  (** Complete request lines, in arrival order. *)

@@ -251,14 +251,20 @@ let worker_loop ~shared ~slots ~slot ~cfg ~dir ~fleet_started_at () =
       lines
   in
   let read_conn c =
+    (* Replies are written as soon as they exist; select waits for
+       writability only when the socket could not take them all. *)
+    let settle () = if not (Conn.settle c) then drop c in
     match Conn.read c with
-    | Conn.Lines lines -> handle_lines c lines
+    | Conn.Lines lines ->
+        handle_lines c lines;
+        settle ()
     | Conn.Nothing -> ()
     | Conn.Eof -> drop c
     | Conn.Framing_error msg ->
         let reply = Worker_core.protocol_error core c.Conn.meta msg in
         Conn.enqueue c reply.Worker_core.body;
-        c.Conn.closing <- true
+        c.Conn.closing <- true;
+        settle ()
   in
   let read_http c =
     let session = Http_gateway.session c in
@@ -271,7 +277,7 @@ let worker_loop ~shared ~slots ~slot ~cfg ~dir ~fleet_started_at () =
     in
     match Http_gateway.service core c ~watch with
     | `Drop -> drop_http c
-    | `Keep -> ()
+    | `Keep -> if not (Conn.settle c) then drop_http c
   in
   let last_tick = ref (Unix.gettimeofday ()) in
   while not (Atomic.get shared.stop) do
@@ -307,17 +313,12 @@ let worker_loop ~shared ~slots ~slot ~cfg ~dir ~fleet_started_at () =
         if List.memq slot.w_wake_r r then drain_pipe slot.w_wake_r;
         (* Snapshot: handlers mutate [conns]/[http_conns]. *)
         List.iter
-          (fun c ->
-            if List.memq c.Conn.fd w then
-              if not (Conn.flush c) then drop c
-              else if c.Conn.closing && Conn.pending_out c = 0 then drop c)
+          (fun c -> if List.memq c.Conn.fd w && not (Conn.settle c) then drop c)
           !conns;
         List.iter (fun c -> if List.memq c.Conn.fd r then read_conn c) !conns;
         List.iter
           (fun c ->
-            if List.memq c.Conn.fd w then
-              if not (Conn.flush c) then drop_http c
-              else if c.Conn.closing && Conn.pending_out c = 0 then drop_http c)
+            if List.memq c.Conn.fd w && not (Conn.settle c) then drop_http c)
           !http_conns;
         List.iter (fun c -> if List.memq c.Conn.fd r then read_http c) !http_conns
   done;

@@ -27,7 +27,7 @@ let session (c : meta Conn.t) = c.Conn.meta.session
    carries). *)
 let rejection ~active ~max_sessions =
   Http.render ~status:503
-    (Gateway.error_body Response.Session_limit
+    (Response.error_line Response.Session_limit
        (Worker_core.rejection_message ~active ~max_sessions))
 
 (* Serve whatever arrived on one gateway connection. [watch] brackets
@@ -44,7 +44,7 @@ let service core (c : meta Conn.t) ~watch =
              well-formed error response, then close. *)
           Conn.enqueue c
             (Http.render ~status:400
-               (Gateway.error_body Response.Bad_request msg));
+               (Response.error_line Response.Bad_request msg));
           c.Conn.closing <- true
       | Ok reqs ->
           List.iter

@@ -68,8 +68,7 @@ let respond t c resp =
   c.Conn.closing <- true;
   (* Most responses fit the socket buffer: try to finish the exchange
      right here so a probe never waits for the next select round. *)
-  if not (Conn.flush c) then drop t c
-  else if Conn.pending_out c = 0 then drop t c
+  if not (Conn.settle c) then drop t c
 
 (* Parse "GET /path HTTP/1.x" (query strings stripped). *)
 let parse_request_line line =
@@ -124,10 +123,7 @@ let read_conn t c =
 (* One service pass with the fd sets select returned. *)
 let service t ~readable:r ~writable:w =
   List.iter
-    (fun c ->
-      if List.memq c.Conn.fd w then
-        if not (Conn.flush c) then drop t c
-        else if c.Conn.closing && Conn.pending_out c = 0 then drop t c)
+    (fun c -> if List.memq c.Conn.fd w && not (Conn.settle c) then drop t c)
     t.conns;
   List.iter (fun c -> if List.memq c.Conn.fd r then read_conn t c) t.conns;
   if List.memq t.listen_fd r then accept_new t

@@ -135,14 +135,20 @@ let run_single ~config ~on_ready ~on_obs_ready ~on_http_ready repo addr =
       lines
   in
   let read_conn c =
+    (* Replies are written as soon as they exist; select waits for
+       writability only when the socket could not take them all. *)
+    let settle () = if not (Conn.settle c) then drop c in
     match Conn.read c with
-    | Conn.Lines lines -> handle_lines c lines
+    | Conn.Lines lines ->
+        handle_lines c lines;
+        settle ()
     | Conn.Nothing -> ()
     | Conn.Eof -> drop c
     | Conn.Framing_error msg ->
         let reply = Engine.protocol_error engine c.Conn.meta msg in
         Conn.enqueue c reply.Engine.body;
-        c.Conn.closing <- true
+        c.Conn.closing <- true;
+        settle ()
   in
   (* Gateway connections: same engine, same sessions, HTTP framing. *)
   let http_conns = ref [] in
@@ -177,7 +183,7 @@ let run_single ~config ~on_ready ~on_obs_ready ~on_http_ready repo addr =
     in
     match Http_gateway.service engine c ~watch with
     | `Drop -> drop_http c
-    | `Keep -> ()
+    | `Keep -> if not (Conn.settle c) then drop_http c
   in
   on_ready (Unix.getsockname listen_fd);
   (match obs with Some o -> on_obs_ready (Http_obs.bound_addr o) | None -> ());
@@ -235,17 +241,12 @@ let run_single ~config ~on_ready ~on_obs_ready ~on_http_ready repo addr =
         | None -> ());
         (* Snapshot: handlers mutate [conns]/[http_conns]. *)
         List.iter
-          (fun c ->
-            if List.memq c.Conn.fd w then
-              if not (Conn.flush c) then drop c
-              else if c.Conn.closing && Conn.pending_out c = 0 then drop c)
+          (fun c -> if List.memq c.Conn.fd w && not (Conn.settle c) then drop c)
           !conns;
         List.iter (fun c -> if List.memq c.Conn.fd r then read_conn c) !conns;
         List.iter
           (fun c ->
-            if List.memq c.Conn.fd w then
-              if not (Conn.flush c) then drop_http c
-              else if c.Conn.closing && Conn.pending_out c = 0 then drop_http c)
+            if List.memq c.Conn.fd w && not (Conn.settle c) then drop_http c)
           !http_conns;
         List.iter (fun c -> if List.memq c.Conn.fd r then read_http c) !http_conns
   done;

@@ -1,5 +1,3 @@
-module Json = Crimson_obs.Json
-
 (* ----------------------------- Addresses --------------------------- *)
 
 type addr =
@@ -120,6 +118,10 @@ let parse_command line : (Request.t, Response.code * string) result =
 (* ------------------------------ Framing ---------------------------- *)
 
 module Line_buffer = struct
+  (* [buf] holds only the line still being received, never an LF. Each
+     fed byte is examined once and copied at most twice (into [buf],
+     then into its line), so a line trickled in one byte per read costs
+     no more than the same line received whole. *)
   type t = {
     max_line : int;
     buf : Buffer.t;
@@ -141,38 +143,30 @@ module Line_buffer = struct
   let feed t data =
     if t.poisoned then Error "input discarded: a previous line overflowed"
     else begin
-      Buffer.add_string t.buf data;
-      let s = Buffer.contents t.buf in
-      let n = String.length s in
-      let lines = ref [] in
-      let start = ref 0 in
-      let overflow = ref false in
-      (try
-         for i = 0 to n - 1 do
-           if s.[i] = '\n' then begin
-             if i - !start > t.max_line then begin
-               overflow := true;
-               raise Exit
-             end;
-             lines := strip_cr (String.sub s !start (i - !start)) :: !lines;
-             start := i + 1
-           end
-         done
-       with Exit -> ());
-      if !overflow || n - !start > t.max_line then too_long t
-      else begin
-        let rest = String.sub s !start (n - !start) in
-        Buffer.clear t.buf;
-        Buffer.add_string t.buf rest;
-        Ok (List.rev !lines)
-      end
+      let n = String.length data in
+      (* [start]: first byte of [data] not yet part of a returned line. *)
+      let rec go start lines =
+        let fits upto = Buffer.length t.buf + (upto - start) <= t.max_line in
+        match String.index_from_opt data start '\n' with
+        | None ->
+            if not (fits n) then too_long t
+            else begin
+              Buffer.add_substring t.buf data start (n - start);
+              Ok (List.rev lines)
+            end
+        | Some i when not (fits i) -> too_long t
+        | Some i ->
+            let line =
+              if Buffer.length t.buf = 0 then String.sub data start (i - start)
+              else begin
+                Buffer.add_substring t.buf data start (i - start);
+                let line = Buffer.contents t.buf in
+                Buffer.clear t.buf;
+                line
+              end
+            in
+            go (i + 1) (strip_cr line :: lines)
+      in
+      go 0 []
     end
 end
-
-(* ------------------------------ Replies ---------------------------- *)
-
-let render fields = Json.to_string (Json.Obj fields) ^ "\n"
-let ok fields = render (("ok", Json.Bool true) :: fields)
-
-let error code msg =
-  render [ ("ok", Json.Bool false); ("error", Response.error_json code msg) ]

@@ -76,12 +76,6 @@ module Line_buffer : sig
   (** Bytes buffered towards the next (incomplete) line. *)
 end
 
-(** {1 Replies} *)
-
-val ok : (string * Crimson_obs.Json.t) list -> string
-(** One reply line: [{"ok":true, <fields>}] plus the LF terminator. *)
-
-val error : Crimson_gateway.Response.code -> string -> string
-(** One reply line:
-    [{"ok":false,"error":{"code":<code>,"message":<msg>}}] plus the
-    terminator. *)
+(** Reply lines are {!Crimson_gateway.Response.ok_line} and
+    {!Crimson_gateway.Response.error_line}, the bytes the HTTP gateway
+    serves as JSON bodies. *)

@@ -251,9 +251,10 @@ type reply = {
    parity test replays a golden transcript against it). *)
 let render_wire (resp : Response.t) =
   match resp with
-  | Response.Reply { fields; close; _ } -> { body = Wire.ok fields; close }
+  | Response.Reply { fields; close; _ } ->
+      { body = Response.ok_line fields; close }
   | Response.Err { code; message; close } ->
-      { body = Wire.error code message; close }
+      { body = Response.error_line code message; close }
 
 (* ----------------------------- Sessions ---------------------------- *)
 
@@ -289,7 +290,7 @@ let rejection_message ~active ~max_sessions =
   Printf.sprintf "session limit reached (%d active, max %d)" active max_sessions
 
 let rejection_body ~active ~max_sessions =
-  Wire.error Response.Session_limit (rejection_message ~active ~max_sessions)
+  Response.error_line Response.Session_limit (rejection_message ~active ~max_sessions)
 
 let make_session id =
   {
@@ -388,7 +389,7 @@ let protocol_error t s msg =
   Metrics.Counter.incr t.mw_errors;
   Metrics.Counter.incr t.m_errors;
   Log.info (fun m -> m "session=%d protocol error: %s" s.id msg);
-  { body = Wire.error Response.Bad_request msg; close = true }
+  { body = Response.error_line Response.Bad_request msg; close = true }
 
 let hello t s =
   let trees = List.map (fun (_, name) -> Json.Str name) (Stored_tree.list_all t.repo) in

@@ -97,3 +97,58 @@ let tree_testable =
   Alcotest.testable
     (fun ppf t -> Format.fprintf ppf "<tree %d nodes>" (Tree.node_count t))
     (fun a b -> Tree.equal_unordered a b)
+
+(* ------------------------- Incremental decoders --------------------- *)
+
+(* Feed [chunks] in order to a decoder made by [create], stopping at
+   the first error: the items delivered before it, then the error. *)
+let decode_chunks ~create ~feed chunks =
+  let d = create () in
+  let rec go acc = function
+    | [] -> (List.rev acc, None)
+    | chunk :: rest -> (
+        match feed d chunk with
+        | Ok items -> go (List.rev_append items acc) rest
+        | Error e -> (List.rev acc, Some e))
+  in
+  go [] chunks
+
+(* [s] cut at the given offsets (any order, duplicates allowed). *)
+let split_at cuts s =
+  let n = String.length s in
+  let cuts = List.sort_uniq compare (List.map (fun c -> c mod (n + 1)) cuts) in
+  let rec go from = function
+    | [] -> [ String.sub s from (n - from) ]
+    | c :: rest -> String.sub s from (c - from) :: go c rest
+  in
+  go 0 cuts
+
+(* The chunking contract of an incremental decoder: however [input] is
+   split, it reports the same error as when fed whole, and the same
+   items when there is none. An error drops the items completed in the
+   same call, so with an error a split may deliver fewer items than
+   one byte per call does, never other ones. *)
+let chunking_agrees ~create ~feed ~equal input cuts =
+  let run = decode_chunks ~create ~feed in
+  let whole = run [ input ] in
+  let bytewise = run (List.init (String.length input) (fun i -> String.make 1 input.[i])) in
+  let split = run (split_at cuts input) in
+  let rec is_prefix a b =
+    match (a, b) with
+    | [], _ -> true
+    | x :: a, y :: b -> equal x y && is_prefix a b
+    | _ :: _, [] -> false
+  in
+  let same a b = List.length a = List.length b && is_prefix a b in
+  match (snd whole, snd bytewise, snd split) with
+  | None, None, None -> same (fst whole) (fst bytewise) && same (fst whole) (fst split)
+  | Some e, Some e', Some e'' ->
+      e = e' && e = e'' && is_prefix (fst split) (fst bytewise)
+  | _ -> false
+
+(* A max-size frame fed one byte per call must cost no more than
+   linear time: [feed] over every byte of [input], wall-clock ms. *)
+let bytewise_ms ~feed input =
+  let t0 = Unix.gettimeofday () in
+  String.iter (fun c -> feed (String.make 1 c)) input;
+  (Unix.gettimeofday () -. t0) *. 1000.0

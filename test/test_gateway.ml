@@ -85,6 +85,81 @@ let test_decoder_percent_and_limits () =
   | Error e -> check Alcotest.bool "body cap named" true (contains "body" e)
   | Ok _ -> Alcotest.fail "oversized body must fail"
 
+(* Decoding must not depend on how the bytes were split into reads:
+   pipelined requests, bodies, heads at and beyond the cap (with the
+   terminator cut anywhere) and malformed frames, under any split. *)
+let test_decoder_chunking () =
+  let max_head = 64 and max_body = 16 in
+  let open QCheck.Gen in
+  let token = string_size ~gen:(oneofl [ 'a'; 'z'; '0'; '%'; '2'; 'F'; '='; '&'; '?' ]) (int_range 1 8) in
+  (* A head of exactly [len] bytes before its terminator. *)
+  let sized_head len =
+    let base = "GET /h HTTP/1.1\r\nX: " in
+    base ^ String.make (max 0 (len - String.length base)) 'p' ^ "\r\n\r\n"
+  in
+  let segment =
+    frequency
+      [
+        (4, map (fun t -> "GET /v1/" ^ t ^ " HTTP/1.1\r\nHost: h\r\n\r\n") token);
+        (2, map (fun t -> "GET /" ^ t ^ " HTTP/1.0\r\n\r\n") token);
+        ( 3,
+          map
+            (fun body ->
+              Printf.sprintf "POST /q HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+                (String.length body) body)
+            (string_size ~gen:(oneofl [ 'x'; '\r'; '\n'; 'G' ]) (int_bound max_body)) );
+        (2, map sized_head (int_range (max_head - 4) (max_head + 4)));
+        (1, return "BROKEN\r\n\r\n");
+        (1, return "POST /q HTTP/1.1\r\nContent-Length: abc\r\n\r\n");
+        (1, return "POST /q HTTP/1.1\r\nContent-Length: 99\r\n\r\n");
+      ]
+  in
+  (* An unfinished tail: part of a head, possibly ending inside the
+     terminator, possibly already past the cap. *)
+  let tail =
+    frequency
+      [
+        (2, return "");
+        (1, map (fun n -> String.sub (sized_head max_head) 0 n) (int_bound (max_head + 3)));
+        ( 1,
+          map2
+            (fun n ending -> String.make n 'q' ^ ending)
+            (int_range (max_head - 4) (max_head + 4))
+            (oneofl [ ""; "\r"; "\r\n"; "\r\n\r" ]) );
+      ]
+  in
+  let input = map2 (fun segs t -> String.concat "" segs ^ t) (list_size (int_range 1 5) segment) tail in
+  let gen = pair input (list_size (int_bound 8) (int_bound 400)) in
+  let cell =
+    QCheck.Test.make ~count:1000 ~name:"http decode whole = decode split"
+      (QCheck.make ~print:(fun (s, cuts) ->
+           Printf.sprintf "%S cut at [%s]" s
+             (String.concat ";" (List.map string_of_int cuts)))
+         gen)
+      (fun (s, cuts) ->
+        Helpers.chunking_agrees
+          ~create:(fun () -> Http.create_decoder ~max_head ~max_body ())
+          ~feed:Http.feed ~equal:( = ) s cuts)
+  in
+  QCheck_alcotest.to_alcotest cell |> fun (_, _, f) -> f ()
+
+(* A head at the default cap trickled in one byte per read stays
+   linear: no rescan or copy of what is already buffered. *)
+let test_decoder_trickled_head () =
+  let max_head = 16 * 1024 (* the default cap *) in
+  let dec = Http.create_decoder () in
+  let base = "GET /v1/doc HTTP/1.1\r\nX: " in
+  let head = base ^ String.make (max_head - String.length base) 'p' ^ "\r\n\r\n" in
+  let got = ref [] in
+  let ms =
+    Helpers.bytewise_ms head ~feed:(fun b ->
+        match Http.feed dec b with
+        | Ok reqs -> got := !got @ reqs
+        | Error e -> Alcotest.failf "max-size head refused: %s" e)
+  in
+  check Alcotest.int "one request" 1 (List.length !got);
+  if ms > 200.0 then Alcotest.failf "16 KiB head fed bytewise took %.0f ms" ms
+
 (* ------------------------------ Router ------------------------------ *)
 
 let http_req ?(meth = "GET") ?(body = "") target =
@@ -513,6 +588,10 @@ let () =
             test_decoder_pipelining_and_body;
           Alcotest.test_case "percent decoding and caps" `Quick
             test_decoder_percent_and_limits;
+          Alcotest.test_case "any chunking decodes alike" `Quick
+            test_decoder_chunking;
+          Alcotest.test_case "trickled max-size head" `Quick
+            test_decoder_trickled_head;
         ] );
       ( "router",
         [

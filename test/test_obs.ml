@@ -231,6 +231,208 @@ let test_json_parser_details () =
   | _ -> Alcotest.fail "expected parse failure"
   | exception Json.Parse_error _ -> ()
 
+(* The encoder's contract is byte identity with the Printf-based
+   renderer it replaced: wire replies, HTTP bodies, ETag-covered
+   resources and the golden parity file all hold its bytes. This is
+   that renderer, verbatim, kept as the oracle. *)
+module Printf_oracle = struct
+  let escape_to buf s =
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"'
+
+  let number_to_string x =
+    if Float.is_nan x || Float.abs x = Float.infinity then "null"
+    else if Float.is_integer x && Float.abs x <= 1e15 then Printf.sprintf "%.0f" x
+    else Printf.sprintf "%.17g" x
+
+  let to_string v =
+    let buf = Buffer.create 256 in
+    let rec go = function
+      | Json.Null -> Buffer.add_string buf "null"
+      | Json.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+      | Json.Num x -> Buffer.add_string buf (number_to_string x)
+      | Json.Str s -> escape_to buf s
+      | Json.List items ->
+          Buffer.add_char buf '[';
+          List.iteri
+            (fun i item ->
+              if i > 0 then Buffer.add_char buf ',';
+              go item)
+            items;
+          Buffer.add_char buf ']'
+      | Json.Obj fields ->
+          Buffer.add_char buf '{';
+          List.iteri
+            (fun i (k, item) ->
+              if i > 0 then Buffer.add_char buf ',';
+              escape_to buf k;
+              Buffer.add_char buf ':';
+              go item)
+            fields;
+          Buffer.add_char buf '}'
+    in
+    go v;
+    Buffer.contents buf
+end
+
+let check_encodes_like_oracle label v =
+  check Alcotest.string label (Printf_oracle.to_string v) (Json.to_string v);
+  let buf = Buffer.create 8 in
+  Buffer.add_string buf "<";
+  Json.to_buffer buf v;
+  check Alcotest.string (label ^ " (to_buffer appends)")
+    ("<" ^ Printf_oracle.to_string v)
+    (Buffer.contents buf)
+
+let test_json_encoder_edges () =
+  let nums =
+    [
+      0.;
+      -0.;
+      1.;
+      -1.;
+      1e15;
+      -1e15;
+      1e15 +. 1.;
+      -.(1e15 +. 1.);
+      999_999_999_999_999.;
+      1e16;
+      float_of_int max_int;
+      float_of_int min_int;
+      2. ** 62.;
+      -.(2. ** 63.);
+      1e300;
+      1e-300;
+      Float.min_float;
+      Float.min_float /. 2.;
+      5e-324;
+      -5e-324;
+      Float.max_float;
+      -.Float.max_float;
+      0.1;
+      -0.5;
+      1.5;
+      123456.789;
+      Float.epsilon;
+      Float.pred 1e15;
+      Float.succ 1e15;
+      Float.nan;
+      -.Float.nan;
+      Float.infinity;
+      Float.neg_infinity;
+    ]
+  in
+  List.iter
+    (fun x -> check_encodes_like_oracle (Printf.sprintf "number %h" x) (Json.Num x))
+    nums;
+  List.iter
+    (fun x -> check Alcotest.string "non-finite is null" "null" (Json.to_string (Json.Num x)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  check Alcotest.string "-0 keeps its sign" "-0" (Json.to_string (Json.Num (-0.)));
+  let all_bytes = String.init 256 Char.chr in
+  List.iter
+    (fun s -> check_encodes_like_oracle (Printf.sprintf "string %S" s) (Json.Str s))
+    [
+      "";
+      "plain";
+      "\"";
+      "\\";
+      "a\"b\\c";
+      "\n\r\t\b\012\000\031\127";
+      "tail\001";
+      "\001head";
+      "caf\xc3\xa9 \xff\xfe";
+      all_bytes;
+    ];
+  List.iter
+    (fun v -> check_encodes_like_oracle "container" v)
+    [
+      Json.List [];
+      Json.Obj [];
+      Json.List [ Json.List []; Json.Obj [] ];
+      Json.Obj [ ("", Json.Obj []); ("k\"\n", Json.List [ Json.Null; Json.Bool true ]) ];
+      Json.Obj [ (all_bytes, Json.Str all_bytes) ];
+    ]
+
+let json_gen =
+  let open QCheck.Gen in
+  let number =
+    frequency
+      [
+        (3, map float_of_int (int_range (-1000) 1000));
+        (2, map float_of_int int);
+        (2, float);
+        (* Any bit pattern: subnormals, NaN payloads, both zeros. *)
+        ( 2,
+          map2
+            (fun hi lo ->
+              Int64.float_of_bits
+                (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)))
+            (int_bound 0xFFFFFFFF) (int_bound 0xFFFFFFFF) );
+        ( 1,
+          oneofl
+            [
+              0.; -0.; 1e15; -1e15; 1e15 +. 1.; Float.nan; Float.infinity;
+              Float.neg_infinity; 5e-324;
+            ] );
+      ]
+  in
+  let str = string_size ~gen:char (int_bound 12) in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           frequency
+             [
+               (1, return Json.Null);
+               (1, map (fun b -> Json.Bool b) bool);
+               (4, map (fun x -> Json.Num x) number);
+               (3, map (fun s -> Json.Str s) str);
+             ]
+         in
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (3, leaf);
+               (1, map (fun l -> Json.List l) (list_size (int_bound 5) (self (n / 3))));
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (int_bound 5) (pair str (self (n / 3)))) );
+             ])
+
+let test_json_encoder_property () =
+  let cell =
+    QCheck.Test.make ~count:2000 ~name:"encoder = Printf oracle"
+      (QCheck.make ~print:Printf_oracle.to_string json_gen)
+      (fun v -> String.equal (Json.to_string v) (Printf_oracle.to_string v))
+  in
+  QCheck_alcotest.to_alcotest cell |> fun (_, _, f) -> f ()
+
+(* Worker domains encode replies concurrently: with no shared scratch
+   state, each domain's output matches the oracle. *)
+let test_json_encoder_domains () =
+  let values = QCheck.Gen.generate ~rand:(Random.State.make [| 7 |]) ~n:300 json_gen in
+  let encode_all () = List.map Json.to_string values in
+  let d = Domain.spawn encode_all in
+  let here = encode_all () in
+  let there = Domain.join d in
+  let want = List.map Printf_oracle.to_string values in
+  check (Alcotest.list Alcotest.string) "this domain" want here;
+  check (Alcotest.list Alcotest.string) "other domain" want there
+
 (* Trace records travel as one JSON line each; the parser must survive
    the values traces actually carry — escaped query text, deeply nested
    child arrays, and large/precise floats — without loss. *)
@@ -607,6 +809,11 @@ let () =
           Alcotest.test_case "json round-trip" `Quick test_json_round_trip;
           Alcotest.test_case "json parser details" `Quick test_json_parser_details;
           Alcotest.test_case "json trace payloads" `Quick test_json_trace_payloads;
+          Alcotest.test_case "json encoder edge cases" `Quick test_json_encoder_edges;
+          Alcotest.test_case "json encoder = Printf oracle" `Quick
+            test_json_encoder_property;
+          Alcotest.test_case "json encoder across domains" `Quick
+            test_json_encoder_domains;
           Alcotest.test_case "prometheus exporter" `Quick test_prometheus_exporter;
           Alcotest.test_case "prometheus buckets" `Quick test_prometheus_buckets;
           Alcotest.test_case "prometheus escaping" `Quick test_prometheus_escaping;

@@ -118,6 +118,54 @@ let test_line_buffer () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "poisoned buffer must stay in error")
 
+(* Framing must not depend on how the bytes were split into reads:
+   pipelined lines, CRLF endings (the CR possibly in another read than
+   its LF), lines at and beyond the cap and an unfinished tail. *)
+let test_line_buffer_chunking () =
+  let max_line = 16 in
+  let open QCheck.Gen in
+  let text n = string_size ~gen:(oneofl [ 'a'; ' '; 'Q'; '\r'; '\000' ]) n in
+  let line =
+    frequency
+      [
+        (4, map (fun s -> s ^ "\n") (text (int_bound 8)));
+        (2, map (fun s -> s ^ "\r\n") (text (int_bound 8)));
+        (2, map (fun n -> String.make n 'x' ^ "\n") (int_range (max_line - 2) (max_line + 2)));
+        (1, map (fun n -> String.make n 'y' ^ "\r\n") (int_range (max_line - 2) (max_line + 2)));
+      ]
+  in
+  let tail = frequency [ (2, return ""); (1, text (int_bound (max_line + 3))) ] in
+  let input = map2 (fun ls t -> String.concat "" ls ^ t) (list_size (int_range 1 6) line) tail in
+  let gen = pair input (list_size (int_bound 8) (int_bound 200)) in
+  let cell =
+    QCheck.Test.make ~count:1000 ~name:"line framing whole = framing split"
+      (QCheck.make ~print:(fun (s, cuts) ->
+           Printf.sprintf "%S cut at [%s]" s
+             (String.concat ";" (List.map string_of_int cuts)))
+         gen)
+      (fun (s, cuts) ->
+        Helpers.chunking_agrees
+          ~create:(fun () -> Wire.Line_buffer.create ~max_line)
+          ~feed:Wire.Line_buffer.feed ~equal:String.equal s cuts)
+  in
+  QCheck_alcotest.to_alcotest cell |> fun (_, _, f) -> f ()
+
+(* A line at the server's default cap (64 KiB) trickled in one byte per
+   read stays linear: nothing already buffered is copied or rescanned. *)
+let test_line_buffer_trickled () =
+  let max_line = Worker_core.default_config.Worker_core.max_line in
+  let lb = Wire.Line_buffer.create ~max_line in
+  let got = ref [] in
+  let ms =
+    Helpers.bytewise_ms (String.make max_line 'x' ^ "\n") ~feed:(fun b ->
+        match Wire.Line_buffer.feed lb b with
+        | Ok lines -> got := !got @ lines
+        | Error e -> Alcotest.failf "max-size line refused: %s" e)
+  in
+  check (Alcotest.list Alcotest.int) "one full line" [ max_line ]
+    (List.map String.length !got);
+  if ms > 200.0 then Alcotest.failf "64 KiB line fed bytewise took %.0f ms" ms
+
 (* ------------------------------ Engine ------------------------------ *)
 
 let load_test_repo () =
@@ -1521,6 +1569,251 @@ let test_wire_parity () =
           at (ctx golden) (ctx transcript)
       end
 
+(* ---------------------------- Transport ----------------------------- *)
+
+module Conn = Crimson_server.Conn
+
+(* A connection's writing end over a socketpair, plus the reading end. *)
+let with_conn_pair f =
+  let w, r = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.set_nonblock w;
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close w with Unix.Unix_error _ -> ());
+      try Unix.close r with Unix.Unix_error _ -> ())
+    (fun () -> f (Conn.make ~max_line:64 ~meta:() w) r)
+
+(* Drain [c] into a reader that takes at most [chunk] bytes per turn
+   and only when the writer has stalled on a full socket: the replies
+   must arrive whole and in order. Returns the bytes read and how many
+   flushes left bytes behind. *)
+let slow_read c r ~chunk =
+  let got = Buffer.create (1 lsl 20) and partial = ref 0 in
+  let buf = Bytes.create chunk in
+  let deadline = Unix.gettimeofday () +. 20.0 in
+  while Conn.pending_out c > 0 && Unix.gettimeofday () < deadline do
+    check Alcotest.bool "peer alive" true (Conn.flush c);
+    if Conn.pending_out c > 0 then begin
+      incr partial;
+      let n = Unix.read r buf 0 chunk in
+      Buffer.add_subbytes got buf 0 n
+    end
+  done;
+  check Alcotest.int "everything written" 0 (Conn.pending_out c);
+  (* What the last flush wrote is still in the socket. *)
+  Unix.set_nonblock r;
+  (try
+     while true do
+       let n = Unix.read r buf 0 chunk in
+       if n = 0 then raise Exit;
+       Buffer.add_subbytes got buf 0 n
+     done
+   with Exit | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
+  (Buffer.contents got, !partial)
+
+let test_conn_large_reply () =
+  with_conn_pair (fun c r ->
+      let reply = String.init ((1 lsl 20) + 12_345) (fun i -> Char.chr (i * 7 mod 251)) in
+      Conn.enqueue c reply;
+      check Alcotest.int "pending" (String.length reply) (Conn.pending_out c);
+      let got, partial = slow_read c r ~chunk:1000 in
+      check Alcotest.bool "the socket filled up" true (partial > 0);
+      check Alcotest.int "length" (String.length reply) (String.length got);
+      check Alcotest.bool "intact" true (String.equal reply got))
+
+let test_conn_queue_order () =
+  with_conn_pair (fun c r ->
+      let replies =
+        [ "first\n"; String.make 300_000 'a' ^ "\n"; "third\n"; String.make 70_000 'b' ^ "\n"; "last\n" ]
+      in
+      List.iter (Conn.enqueue c) replies;
+      let got, _ = slow_read c r ~chunk:4096 in
+      check Alcotest.bool "in order, whole" true (String.equal (String.concat "" replies) got);
+      (* An idle connection that is closing and drained is done. *)
+      check Alcotest.bool "open while not closing" true (Conn.settle c);
+      c.Conn.closing <- true;
+      check Alcotest.bool "closing and drained" false (Conn.settle c))
+
+(* Raw client I/O with a deadline, for exchanges the blocking clients
+   cannot express (pipelining, waiting for the server's close). *)
+let connect_raw path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  fd
+
+let write_all fd s =
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
+(* Everything the server sends until it closes, read [chunk] bytes at a
+   time; fails if it does not close within the deadline. *)
+let read_to_eof ?(chunk = 65536) ?(pause = 0.0) fd =
+  let got = Buffer.create 4096 and buf = Bytes.create chunk in
+  let deadline = Unix.gettimeofday () +. 20.0 in
+  let rec go () =
+    if Unix.gettimeofday () > deadline then
+      Alcotest.fail "server did not close the connection"
+    else
+      match Unix.select [ fd ] [] [] 0.5 with
+      | [], _, _ -> go ()
+      | _ -> (
+          match Unix.read fd buf 0 chunk with
+          | 0 -> ()
+          | n ->
+              Buffer.add_subbytes got buf 0 n;
+              if pause > 0.0 then Unix.sleepf pause;
+              go ())
+  in
+  go ();
+  Unix.close fd;
+  Buffer.contents got
+
+(* Split a stream of HTTP responses on their Content-Length framing. *)
+let split_responses s =
+  let rec go from acc =
+    if from >= String.length s then List.rev acc
+    else
+      let rec head_end i =
+        if String.sub s i 4 = "\r\n\r\n" then i else head_end (i + 1)
+      in
+      let he = head_end from in
+      let head = String.sub s from (he - from) in
+      let len =
+        List.find_map
+          (fun l ->
+            match String.index_opt l ':' with
+            | Some i when String.lowercase_ascii (String.sub l 0 i) = "content-length" ->
+                int_of_string_opt (String.trim (String.sub l (i + 1) (String.length l - i - 1)))
+            | _ -> None)
+          (String.split_on_char '\n' head)
+        |> Option.get
+      in
+      go (he + 4 + len) ((head, String.sub s (he + 4) len) :: acc)
+  in
+  go 0 []
+
+(* Write-through replies through both server loops (1 worker and a
+   2-worker coordinator), with one admission slot: a connection that
+   asks to close is dropped as soon as its replies drain, so the next
+   client is admitted; pipelined replies, together far larger than the
+   socket buffer and read slowly, arrive whole and in order. *)
+let test_write_through_e2e () =
+  with_tmp_dir (fun dir ->
+      let repo_dir = Filename.concat dir "repo" in
+      (let repo = Repo.open_dir repo_dir in
+       let big = Models.yule ~rng:(Prng.create 21) ~leaves:2000 () in
+       let small = Models.yule ~rng:(Prng.create 22) ~leaves:20 () in
+       ignore (Loader.load_tree ~f:8 repo ~name:"gold" big);
+       ignore (Loader.load_tree ~f:4 repo ~name:"silver" small);
+       Repo.close repo);
+      List.iter
+        (fun workers ->
+          let sock = Filename.concat dir (Printf.sprintf "w%d.sock" workers) in
+          let hsock = Filename.concat dir (Printf.sprintf "h%d.sock" workers) in
+          flush stdout;
+          flush stderr;
+          let server_pid =
+            match Unix.fork () with
+            | 0 ->
+                Crimson_obs.Trace.child_reset ();
+                Crimson_obs.Events.child_reset ();
+                let repo = Repo.open_dir ~create:false repo_dir in
+                let config =
+                  {
+                    Engine.default_config with
+                    Engine.max_sessions = 1;
+                    request_timeout = 10.0;
+                    workers;
+                    http_listen = Some (Wire.Unix_path hsock);
+                  }
+                in
+                Fun.protect
+                  ~finally:(fun () -> Repo.close repo)
+                  (fun () -> Server.run ~config repo (Wire.Unix_path sock));
+                Unix._exit 0
+            | pid -> pid
+          in
+          let deadline = Unix.gettimeofday () +. 15.0 in
+          while
+            (not (Sys.file_exists sock && Sys.file_exists hsock))
+            && Unix.gettimeofday () < deadline
+          do
+            ignore (Unix.select [] [] [] 0.02)
+          done;
+          Fun.protect
+            ~finally:(fun () ->
+              (try Unix.kill server_pid Sys.sigkill with Unix.Unix_error _ -> ());
+              try ignore (Unix.waitpid [] server_pid) with Unix.Unix_error _ -> ())
+            (fun () ->
+              let label s = Printf.sprintf "%d worker(s): %s" workers s in
+              let wire_lines s =
+                String.split_on_char '\n' s |> List.filter (fun l -> l <> "")
+                |> List.map Json.parse
+              in
+              (* The one slot is taken: a second client is refused. *)
+              let holder = connect_raw sock in
+              write_all holder "HELLO\n";
+              let over = read_to_eof (connect_raw sock) in
+              check Alcotest.bool (label "over-limit refused") false
+                (Client.ok (Json.parse (String.trim over)));
+              (* QUIT pipelined behind other requests: replies in order,
+                 then the server closes and frees the slot. *)
+              write_all holder "USE gold\nQUERY lca(T0, T1)\nQUIT\nHELLO\n";
+              let replies = wire_lines (read_to_eof holder) in
+              check Alcotest.int (label "hello, use, query, quit") 4 (List.length replies);
+              check Alcotest.bool (label "all ok") true (List.for_all Client.ok replies);
+              check Alcotest.bool (label "use reply second") true
+                (Json.member "tree" (List.nth replies 1) = Some (Json.Str "gold"));
+              (* Pipelined HTTP: ~1 MB of overviews interleaved with small
+                 replies, read slowly; the last asks to close. *)
+              let paths =
+                List.init 36 (fun i ->
+                    match i mod 3 with
+                    | 0 -> "/v1/trees/gold/overview?depth=1"
+                    | 1 -> "/v1/trees/silver"
+                    | _ -> "/v1/trees/gold/overview?depth=2")
+              in
+              let get ?(close = false) p =
+                Printf.sprintf "GET %s HTTP/1.1\r\nHost: t\r\n%s\r\n" p
+                  (if close then "Connection: close\r\n" else "")
+              in
+              let fd = connect_raw hsock in
+              write_all fd
+                (String.concat ""
+                   (List.mapi (fun i p -> get ~close:(i = List.length paths - 1) p) paths));
+              let stream = read_to_eof ~chunk:8192 ~pause:0.0005 fd in
+              let responses = split_responses stream in
+              check Alcotest.int (label "every pipelined reply") (List.length paths)
+                (List.length responses);
+              check Alcotest.bool (label "more than 1 MB") true (String.length stream > 1 lsl 20);
+              (* Each path again on its own connection (each admitted only
+                 because the previous one was dropped): same bytes. *)
+              let single p =
+                let fd = connect_raw hsock in
+                write_all fd (get ~close:true p);
+                match split_responses (read_to_eof fd) with
+                | [ (head, body) ] ->
+                    check Alcotest.bool (label "200") true
+                      (String.length head > 12 && String.sub head 0 12 = "HTTP/1.1 200");
+                    body
+                | _ -> Alcotest.fail (label "expected one response")
+              in
+              let expected = List.map single [ List.nth paths 0; List.nth paths 1; List.nth paths 2 ] in
+              List.iteri
+                (fun i (_, body) ->
+                  if not (String.equal body (List.nth expected (i mod 3))) then
+                    Alcotest.failf "%s: pipelined reply %d differs" (label "order") i)
+                responses;
+              (* And the wire side is admitted again. *)
+              let fd = connect_raw sock in
+              write_all fd "HELLO\nQUIT\n";
+              check Alcotest.bool (label "re-admitted") true
+                (List.for_all Client.ok (wire_lines (read_to_eof fd)))))
+        [ 1; 2 ])
+
 let () =
   (* The e2e tests fork servers and clients and write into sockets the
      peer may already have closed (e.g. an admission rejection); without
@@ -1534,6 +1827,10 @@ let () =
           Alcotest.test_case "parse_addr" `Quick test_parse_addr;
           Alcotest.test_case "parse_command" `Quick test_parse_command;
           Alcotest.test_case "line buffer framing" `Quick test_line_buffer;
+          Alcotest.test_case "any chunking frames alike" `Quick
+            test_line_buffer_chunking;
+          Alcotest.test_case "trickled max-size line" `Quick
+            test_line_buffer_trickled;
         ] );
       ( "engine",
         [
@@ -1564,5 +1861,13 @@ let () =
             test_obs_fleet_e2e;
           Alcotest.test_case "healthz fault injection" `Slow
             test_healthz_fault_e2e;
+          Alcotest.test_case "write-through replies" `Slow test_write_through_e2e;
+        ] );
+      ( "transport",
+        [
+          Alcotest.test_case "1 MB reply to a slow reader" `Quick
+            test_conn_large_reply;
+          Alcotest.test_case "queued replies keep order" `Quick
+            test_conn_queue_order;
         ] );
     ]
